@@ -73,7 +73,10 @@ using graph::vertex_id;
 
 constexpr int kRanks = 2;
 constexpr int kThreads = 2;
-constexpr int kSetups = 5;  ///< set-ups per run; setup_s is their median
+/// Set-ups per run, half before the measured loop and half after it, so a
+/// slow stretch of machine time at either end moves only half of them;
+/// setup_s is their median.
+constexpr int kSetups = 6;
 constexpr auto kCodec = graph::snapshot_codec::compressed;
 
 const clock_type::time_point g_epoch = clock_type::now();
@@ -120,11 +123,15 @@ struct sizes {
   int batches = 100;        ///< stream batches per pass
   int expire_every = 10;    ///< stream: expire_before after every k-th batch
   int window_batches = 10;  ///< stream: windowed answer spans k batches of time
-  int serial_batches = 10;  ///< stream: batches timed at 1 rank x 1 thread
+
+  /// Stream batches timed at 1 rank x 1 thread: two expiry periods, so the
+  /// second half runs on an overlay that expire_before has cut.
+  [[nodiscard]] int serial_batches() const { return 2 * expire_every; }
 
   static sizes of(bool tiny) {
     if (!tiny) return {};
-    return sizes{10, 9, 10, 20, 5, 5, 7};
+    return {.rmat_scale = 10, .web_scale = 9, .temporal_scale = 10, .batches = 20,
+            .expire_every = 5, .window_batches = 5};
   }
 };
 
@@ -389,12 +396,22 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {
   return tripoll::serial::splitmix64(seed * 0x9E3779B97F4A7C15ull + salt);
 }
 
+/// Seed reserved for checking later claims (perfbench/README.md).
+constexpr std::uint64_t kReservedSeed = 7919;
+
+/// The generator seed a benchmark seed uses: the generator's own fixed
+/// seed, except on the reserved seed, which also draws a different graph of
+/// the same family and size.
+std::uint64_t generator_seed(std::uint64_t fixed, std::uint64_t seed) {
+  return seed == kReservedSeed ? derive_seed(seed, 13) : fixed;
+}
+
 /// The seed's bijective relabelling of the ids [0, 2^bits): v -> a*v + b
-/// (mod 2^bits, a odd).  Each generator keeps its own fixed seed, so every
-/// benchmark seed yields the same graph up to isomorphism -- the same
-/// amount of work -- with different ids, edge-file bytes, rank partition and
-/// id-derived metadata.  Spread across seeds then stays close to the
-/// machine's own run-to-run spread.
+/// (mod 2^bits, a odd).  Every other seed than the reserved one keeps the
+/// generator's fixed seed, so it yields the same graph up to isomorphism --
+/// the same amount of work -- with different ids, edge-file bytes, rank
+/// partition and id-derived metadata.  Spread across seeds then stays close
+/// to the machine's own run-to-run spread.
 struct relabel {
   std::uint64_t a = 1, b = 0, mask = 0;
   relabel(std::uint64_t seed, std::uint32_t bits)
@@ -459,6 +476,7 @@ void prepare_cold(const options& o, const sizes& sz) {
   gen::rmat_params params;
   params.scale = sz.rmat_scale;
   params.edge_factor = 16;
+  params.seed = generator_seed(params.seed, o.seed);
   const gen::rmat_generator g(params);
   const relabel id(o.seed, params.scale);
   std::vector<graph::edge> edges;
@@ -493,26 +511,29 @@ void run_cold(const options& o, results& res) {
   res.env = info;
 
   // Set-up: reopen the durable snapshot and answer once.
-  for (int rep = 0; rep < kSetups; ++rep) {
-    try {
-      const double t0 = now_s();
-      std::uint64_t tri = 0;
-      comm::runtime::run(kRanks, [&](comm::communicator& c) {
-        t_tracing = g_trace_mode;
-        auto g = in_layer(c, "graph.snapshot:load",
-                          [&] { return graph::load_snapshot<none, none>(c, p.snapshot); });
-        cb::count_context ctx;
-        (void)cb::plan_for(g, cb::count_callback{}, ctx)
-            .run({tripoll::survey_mode::push_pull, kThreads});
-        const auto n = ctx.global_count(c);
-        if (c.rank0()) tri = n;
-      });
-      res.setup_seconds.push_back(now_s() - t0);
-      expect_eq(tri, want, "cold-rmat set-up count");
-    } catch (const std::exception& e) {
-      phase_failed("cold-rmat set-up", e);
+  const auto set_up = [&](int reps) {
+    for (int rep = 0; rep < reps; ++rep) {
+      try {
+        const double t0 = now_s();
+        std::uint64_t tri = 0;
+        comm::runtime::run(kRanks, [&](comm::communicator& c) {
+          t_tracing = g_trace_mode;
+          auto g = in_layer(c, "graph.snapshot:load",
+                            [&] { return graph::load_snapshot<none, none>(c, p.snapshot); });
+          cb::count_context ctx;
+          (void)cb::plan_for(g, cb::count_callback{}, ctx)
+              .run({tripoll::survey_mode::push_pull, kThreads});
+          const auto n = ctx.global_count(c);
+          if (c.rank0()) tri = n;
+        });
+        res.setup_seconds.push_back(now_s() - t0);
+        expect_eq(tri, want, "cold-rmat set-up count");
+      } catch (const std::exception& e) {
+        phase_failed("cold-rmat set-up", e);
+      }
     }
-  }
+  };
+  set_up(kSetups / 2);
 
   // Measured loop: full cold pipelines at 2 ranks x 2 threads, and every
   // third one the plain single-threaded baseline of the same problem (1
@@ -541,6 +562,7 @@ void run_cold(const options& o, results& res) {
       phase_failed("cold-rmat pipeline", e);
     }
   }
+  set_up(kSetups - kSetups / 2);
   res.peak_rss_mb = peak_rss_mb();
   for (const auto& prefix : {out_prefix, out_prefix + "-serial"}) {
     for (int r = 0; r < kRanks; ++r) std::remove(graph::snapshot_rank_path(prefix, r).c_str());
@@ -640,6 +662,7 @@ void prepare_serve(const options& o, const sizes& sz) {
   const serve_paths p(o.dir);
   gen::web_params params;
   params.scale = sz.web_scale;
+  params.seed = generator_seed(params.seed, o.seed);
   const gen::web_generator g(params);
   const relabel id(o.seed, params.scale);
   build_web_snapshot(g, id, p.snapshot, kRanks);
@@ -682,6 +705,30 @@ void run_serve(const options& o, const sizes&, results& res) {
   res.env = read_kv(p.info);
   const std::string spec = "unix:" + o.dir + "/svc-" + std::to_string(::getpid()) + ".sock";
 
+  // The plain single-threaded baseline: the reference plan answered
+  // standalone at 1 rank x 1 thread over the 1-rank snapshot, half of the
+  // repetitions before the daemon starts and half after it stops, so a slow
+  // stretch at either end moves only half of them.  The answers are checked
+  // once the daemon has computed the references.
+  constexpr int kSerialReps = 16;
+  std::vector<std::vector<svc::unit_result>> serial_out;
+  const auto serial_phase = [&](int reps) {
+    try {
+      comm::runtime::run(1, [&](comm::communicator& c) {
+        t_tracing = false;
+        auto g = graph::load_snapshot<std::uint64_t, std::uint64_t>(c, p.serial_snapshot);
+        for (int rep = 0; rep < reps; ++rep) {
+          const double t0 = now_s();
+          serial_out.push_back(svc::run_units(g, reference_plan(), svc::kModePushPull, 1));
+          res.serial_seconds.push_back(now_s() - t0);
+        }
+      });
+    } catch (const std::exception& e) {
+      phase_failed("serve-web serial baseline", e);
+    }
+  };
+  serial_phase(kSerialReps / 2);
+
   std::mutex mu;
   std::condition_variable cv;
   bool ready = false;       // daemon loaded and about to serve
@@ -706,29 +753,34 @@ void run_serve(const options& o, const sizes&, results& res) {
         t_tracing = g_trace_mode;
         const auto world_start = c.local_stats();
         std::optional<meta_frozen> g;
-        for (int rep = 0; rep < kSetups; ++rep) {  // set-up: load + warm-up
-          g.reset();
-          c.barrier();
-          const double t0 = now_s();
-          g.emplace(in_layer(c, "graph.snapshot:load", [&] {
-            return graph::load_snapshot<std::uint64_t, std::uint64_t>(c, p.snapshot);
-          }));
-          std::uint64_t tri = 0;
-          (void)svc::run_units(*g, {unit(svc::unit_kind::count)}, svc::kModePushPull, kThreads,
-                               &tri);
-          c.barrier();
-          if (c.rank0()) {
-            res.setup_seconds.push_back(now_s() - t0);
-            warm_counts.push_back(tri);
+        const auto set_up = [&](int reps) {  // load + warm-up
+          for (int rep = 0; rep < reps; ++rep) {
+            g.reset();
+            c.barrier();
+            const double t0 = now_s();
+            g.emplace(in_layer(c, "graph.snapshot:load", [&] {
+              return graph::load_snapshot<std::uint64_t, std::uint64_t>(c, p.snapshot);
+            }));
+            std::uint64_t tri = 0;
+            (void)svc::run_units(*g, {unit(svc::unit_kind::count)}, svc::kModePushPull,
+                                 kThreads, &tri);
+            c.barrier();
+            if (c.rank0()) {
+              res.setup_seconds.push_back(now_s() - t0);
+              warm_counts.push_back(tri);
+            }
           }
-        }
+        };
+        set_up(kSetups / 2);
         if (c.rank0()) {
           const std::lock_guard<std::mutex> lock(mu);
           ready = true;
           cv.notify_all();
         }
-        svc::survey_service daemon_svc(*g, so);
-        (void)daemon_svc.serve();
+        {
+          svc::survey_service daemon_svc(*g, so);
+          (void)daemon_svc.serve();
+        }
 
         // Standalone reference over the same snapshot, for every unit used.
         if (c.rank0()) {
@@ -756,6 +808,8 @@ void run_serve(const options& o, const sizes&, results& res) {
           if (c.rank0()) sample_survey(r, n, false);
           sample_world(c, world_start);
         }
+        t_tracing = g_trace_mode;
+        set_up(kSetups - kSetups / 2);
       });
     } catch (...) {
       daemon_error = std::current_exception();
@@ -896,24 +950,12 @@ void run_serve(const options& o, const sizes&, results& res) {
     sample("snapshot.bytes", static_cast<double>(kv_u64(res.env, "snapshot_bytes")));
   }
 
-  // The plain single-threaded baseline: the reference plan answered
-  // standalone at 1 rank x 1 thread over the 1-rank snapshot (10x, median).
-  try {
-    comm::runtime::run(1, [&](comm::communicator& c) {
-      t_tracing = false;
-      auto g = graph::load_snapshot<std::uint64_t, std::uint64_t>(c, p.serial_snapshot);
-      for (int rep = 0; rep < 10; ++rep) {
-        const double t0 = now_s();
-        const auto out = svc::run_units(g, reference_plan(), svc::kModePushPull, 1);
-        res.serial_seconds.push_back(now_s() - t0);
-        for (const auto& r : out) {
-          expect_eq(r.fires, reference.at({r.kind, r.param}).fires, "serve-web serial fires");
-          expect_eq(r.value, reference.at({r.kind, r.param}).value, "serve-web serial value");
-        }
-      }
-    });
-  } catch (const std::exception& e) {
-    phase_failed("serve-web serial baseline", e);
+  serial_phase(kSerialReps - kSerialReps / 2);
+  for (const auto& out : serial_out) {
+    for (const auto& r : out) {
+      expect_eq(r.fires, reference.at({r.kind, r.param}).fires, "serve-web serial fires");
+      expect_eq(r.value, reference.at({r.kind, r.param}).value, "serve-web serial value");
+    }
   }
 }
 
@@ -994,6 +1036,7 @@ void prepare_stream(const options& o, const sizes& sz) {
   const stream_paths p(o.dir);
   gen::temporal_params params;
   params.scale = sz.temporal_scale;
+  params.seed = generator_seed(params.seed, o.seed);
   const gen::temporal_generator g(params);
   const relabel id(o.seed, params.scale);
   std::vector<gen::temporal_edge> edges(g.num_edges());
@@ -1133,25 +1176,28 @@ void run_stream(const options& o, const sizes& sz, results& res) {
       const auto world_start = c.local_stats();
       std::optional<ts_frozen> base;
       std::optional<ts_overlay> ov;
-      for (int rep = 0; rep < kSetups; ++rep) {  // set-up: load + overlay + warm-up
-        ov.reset();
-        base.reset();
-        c.barrier();
-        const double t0 = now_s();
-        base.emplace(in_layer(c, "graph.snapshot:load", [&] {
-          return graph::load_snapshot<none, std::uint64_t>(c, p.base);
-        }));
-        ov.emplace(*base);
-        cb::count_context ctx;
-        (void)cb::plan_for(*ov, cb::count_callback{}, ctx)
-            .window(oracle.steps[0].t0, oracle.steps[0].t1)
-            .run({tripoll::survey_mode::push_pull, kThreads});
-        const auto n = ctx.global_count(c);
-        if (c.rank0()) {
-          res.setup_seconds.push_back(now_s() - t0);
-          expect_eq(n, oracle.steps[0].windowed, "stream-temporal warm-up windowed count");
+      const auto set_up = [&](int reps) {  // load + overlay + warm-up
+        for (int rep = 0; rep < reps; ++rep) {
+          ov.reset();
+          base.reset();
+          c.barrier();
+          const double t0 = now_s();
+          base.emplace(in_layer(c, "graph.snapshot:load", [&] {
+            return graph::load_snapshot<none, std::uint64_t>(c, p.base);
+          }));
+          ov.emplace(*base);
+          cb::count_context ctx;
+          (void)cb::plan_for(*ov, cb::count_callback{}, ctx)
+              .window(oracle.steps[0].t0, oracle.steps[0].t1)
+              .run({tripoll::survey_mode::push_pull, kThreads});
+          const auto n = ctx.global_count(c);
+          if (c.rank0()) {
+            res.setup_seconds.push_back(now_s() - t0);
+            expect_eq(n, oracle.steps[0].windowed, "stream-temporal warm-up windowed count");
+          }
         }
-      }
+      };
+      set_up(kSetups / 2);
 
       // Passes over the batches until the time is up; a pass may stop at
       // any checkpoint.  Each pass ends with compact + compressed save.
@@ -1223,6 +1269,7 @@ void run_stream(const options& o, const sizes& sz, results& res) {
       }
       t_tracing = g_trace_mode;
       sample_world(c, world_start);
+      set_up(kSetups - kSetups / 2);
     });
   } catch (const std::exception& e) {
     phase_failed("stream-temporal stream", e);
@@ -1246,13 +1293,14 @@ void run_stream(const options& o, const sizes& sz, results& res) {
   }
   for (int r = 0; r < kRanks; ++r) std::remove(graph::snapshot_rank_path(out_prefix, r).c_str());
 
-  // The plain single-threaded baseline: the first batches at 1 x 1.
+  // The plain single-threaded baseline: the first two expiry periods of
+  // batches at 1 x 1, checked like the measured loop.
   try {
     comm::runtime::run(1, [&](comm::communicator& c) {
       t_tracing = false;
       auto base = graph::load_snapshot<none, std::uint64_t>(c, p.serial_base);
       ts_overlay ov(base);
-      for (int b = 0; b < sz.serial_batches; ++b) {
+      for (int b = 0; b < sz.serial_batches(); ++b) {
         const auto& s = oracle.steps[static_cast<std::size_t>(b) + 1];
         const double t0 = now_s();
         const auto got = stream_batch(c, ov, p.batch(b), s, 1);
