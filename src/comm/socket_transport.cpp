@@ -639,10 +639,13 @@ void socket_transport::coordinator_probe_reply_locked(int from, std::uint64_t ep
         rep.sent == snap.sent && rep.recv == snap.recv)) {
     coord_.wave_failed = true;
   }
-  // A probe reply is a fresher consistent sample than the stored report
-  // (per-connection FIFO keeps it ordered after the announce it reflects),
-  // so fold it in for the retry wave.
-  coord_.reports[static_cast<std::size_t>(from)] = rep;
+  // Fold the reply in for the retry wave unless it is older than the stored
+  // report.  The rank's receiver thread samples its state before posting
+  // the reply, and its main thread can post a newer announce in between;
+  // folding that stale sample would leave the newest report lost, the retry
+  // below would see nothing changed, and the barrier would never complete.
+  auto& stored = coord_.reports[static_cast<std::size_t>(from)];
+  if (rep.seq >= stored.seq) stored = rep;
   if (--coord_.wave_pending > 0) return;
 
   coord_.wave_epoch = 0;

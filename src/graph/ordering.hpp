@@ -14,14 +14,18 @@
 //       - degree:     rank = d(v), the seed behavior.
 //       - degeneracy: rank = the vertex's peel-wave index from a distributed
 //                     k-core peeling pass (below).
-//   * `degeneracy_peel` runs that peeling pass collectively over any staged
-//     adjacency held in a distributed_map whose record embeds a
-//     `peel_state peel;` member.
+//   * `degeneracy_peel` runs that peeling pass collectively over the
+//     builder's dense per-rank vertex slots: slot s of rank r is the s-th
+//     smallest vertex id that r owns, and every neighbor is addressed as
+//     (owner rank, slot at that owner), resolved once by the builder.
 //
-// Peeling proceeds in globally synchronized *waves*.  At level k, every
-// still-alive vertex whose remaining degree is <= k is removed in the current
-// wave and notifies each neighbor once; a barrier lands all notifications
-// before the next wave's scan.
+// The peel state is four flat slot arrays per rank: `remaining` (neighbors
+// not yet removed), `pending` (decrements parked until the per-wave fold),
+// `removed` and `rank` (the wave index).  Peeling proceeds in globally
+// synchronized *waves*.  At level k, every still-alive slot whose remaining
+// degree is <= k is removed in the current wave and notifies each neighbor
+// once: one bulk message of neighbor slots per destination rank; a barrier
+// lands all notifications before the wave's fold.
 //
 // Determinism guarantee (relied on by frozen snapshots and cross-backend
 // result identity): a vertex's wave index -- and therefore its full order
@@ -32,17 +36,24 @@
 //
 //   * The scan performs no communication, so no decrement can land mid-scan:
 //     wave membership is decided against a fixed snapshot of `remaining`.
-//   * Decrement notifications NEVER touch `remaining` directly.  They park
-//     in `peel_state::pending` and are folded into `remaining` at exactly
-//     one point per wave, immediately after the wave's barrier.  Without the
-//     fold there is a barrier-exit race: the collectives that follow the
-//     barrier stagger rank exits, so a fast rank's wave-w+1 decrements could
-//     reach a slow rank either before or after its wave-w+1 scan, making
-//     membership timing-dependent.  With it, `remaining` at the wave-w scan
-//     equals (initial degree - all decrements from waves < w) exactly: the
-//     barrier guarantees every wave-(w-1) decrement has arrived by the fold,
-//     and no wave-w decrement can be sent until its sender passes the
-//     collective the folding rank participates in.
+//   * Decrement notifications NEVER touch `remaining` directly.  They add
+//     to the target slot's `pending` entry and are folded into `remaining`
+//     at exactly one point per wave, immediately after the wave's barrier.
+//     Without the fold there is a barrier-exit race: the collectives that
+//     follow the barrier stagger rank exits, so a fast rank's wave-w+1
+//     decrements could reach a slow rank either before or after its
+//     wave-w+1 scan, making membership timing-dependent.  With it,
+//     `remaining[s]` at the wave-w scan equals (initial degree - all
+//     decrements from waves < w) exactly: the barrier guarantees every
+//     wave-(w-1) decrement has arrived by the fold, and no wave-w decrement
+//     can be sent until its sender passes the collective the folding rank
+//     participates in.
+//
+// The level only moves between waves.  The reduction that closes a wave
+// also carries the smallest post-fold `remaining` of any alive slot, so the
+// next wave's level is max(level, that minimum) and a level's exhaustion
+// costs no extra empty wave.  A wave removes at least one vertex and wave
+// indices count exactly the non-empty waves.
 //
 // A vertex removed in wave w has at most k not-yet-removed neighbors, and
 // every neighbor ordered after it (same wave or later) is not-yet-removed,
@@ -54,12 +65,15 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "comm/distributed_map.hpp"
 #include "graph/types.hpp"
+#include "serial/serialize.hpp"
 
 namespace tripoll::graph {
 
@@ -85,15 +99,6 @@ enum class ordering_policy : std::uint8_t {
   return std::nullopt;
 }
 
-/// Per-vertex peeling scratch; embed as `peel_state peel;` in the record type
-/// handed to `degeneracy_peel`.
-struct peel_state {
-  std::uint64_t remaining = 0;  ///< neighbors not yet removed (fold-updated)
-  std::uint64_t pending = 0;    ///< decrements parked until the per-wave fold
-  std::uint64_t rank = 0;       ///< peel-wave index assigned at removal
-  bool removed = false;
-};
-
 /// Collective summary of one peeling pass (identical on every rank).
 struct degeneracy_stats {
   std::uint64_t degeneracy = 0;  ///< max peel level k that removed a vertex
@@ -101,95 +106,155 @@ struct degeneracy_stats {
   std::uint64_t vertices = 0;    ///< global vertex count peeled
 };
 
-namespace ordering_detail {
+/// One rank's peel over its dense vertex slots (see the file comment).
+/// Constructed collectively: the instance is registered with the
+/// communicator so decrement messages resolve to the receiving rank's twin.
+class degeneracy_peel {
+ public:
+  /// `degree[s]` is slot s's undirected degree.
+  degeneracy_peel(comm::communicator& c, std::vector<std::uint64_t> degree)
+      : comm_(&c),
+        remaining_(std::move(degree)),
+        pending_(remaining_.size(), 0),
+        rank_(remaining_.size(), 0),
+        removed_(remaining_.size(), 0),
+        handle_(c.register_object(*this)) {}
 
-/// Runs on the owner of a neighbor of a just-removed vertex.  Deliberately
-/// touches only `pending`: arrival timing must not influence the `remaining`
-/// value the scans read (see the determinism note at the top of this file).
-struct peel_decrement_visitor {
-  template <typename Record>
-  void operator()(const vertex_id& /*v*/, Record& rec) const {
-    if (!rec.peel.removed) ++rec.peel.pending;
+  ~degeneracy_peel() { comm_->deregister_object(handle_); }
+
+  degeneracy_peel(const degeneracy_peel&) = delete;
+  degeneracy_peel& operator=(const degeneracy_peel&) = delete;
+
+  /// Collective: run the peel.  `for_neighbors(s, fn)` must call
+  /// `fn(owner_rank, slot_at_owner)` once per (unique) neighbor of slot s.
+  /// On return rank()[s] holds slot s's wave index.
+  template <typename ForNeighbors>
+  degeneracy_stats run(ForNeighbors&& for_neighbors);
+
+  /// Wave index per slot (valid after run()).
+  [[nodiscard]] const std::vector<std::uint64_t>& rank() const noexcept { return rank_; }
+
+ private:
+  /// (removed count, smallest remaining degree over alive slots): the one
+  /// reduction that closes each wave.
+  using wave_summary = std::pair<std::uint64_t, std::uint64_t>;
+
+  struct decrement_handler {
+    // Deliberately touches only `pending`: arrival timing must not
+    // influence the `remaining` values the scans read.
+    void operator()(comm::communicator& c, comm::dist_handle<degeneracy_peel> h,
+                    const serial::wire_span<std::uint64_t>& slots) {
+      degeneracy_peel& st = c.resolve(h);
+      for (const std::uint64_t s : slots) st.decrement(s);
+    }
+  };
+
+  void decrement(std::uint64_t s) {
+    if (s >= pending_.size()) {
+      throw std::runtime_error("tripoll: degeneracy_peel: decrement for slot " +
+                               std::to_string(s) + " beyond this rank's " +
+                               std::to_string(pending_.size()) + " vertices");
+    }
+    if (removed_[s] == 0) ++pending_[s];
   }
+
+  [[nodiscard]] wave_summary reduce(std::uint64_t removed, std::uint64_t min_remaining) {
+    return comm_->all_reduce(wave_summary{removed, min_remaining},
+                             [](const wave_summary& a, const wave_summary& b) {
+                               return wave_summary{a.first + b.first,
+                                                   std::min(a.second, b.second)};
+                             });
+  }
+
+  comm::communicator* comm_;
+  std::vector<std::uint64_t> remaining_;  ///< neighbors not yet removed (fold-updated)
+  std::vector<std::uint64_t> pending_;    ///< decrements parked until the per-wave fold
+  std::vector<std::uint64_t> rank_;       ///< peel-wave index assigned at removal
+  std::vector<std::uint8_t> removed_;
+  comm::dist_handle<degeneracy_peel> handle_;
 };
 
-}  // namespace ordering_detail
-
-/// Collective: distributed k-core peeling over `records`.  `for_neighbors`
-/// is invoked as `for_neighbors(record, fn)` and must call `fn(u)` once per
-/// (unique) neighbor id of that record.  On return, every record's
-/// `peel.rank` holds its wave index; ranks are comparable across the whole
-/// graph and deterministic for a given edge set.
-template <typename Record, typename ForNeighbors>
-degeneracy_stats degeneracy_peel(comm::communicator& c,
-                                 comm::distributed_map<vertex_id, Record>& records,
-                                 ForNeighbors&& for_neighbors) {
-  std::vector<vertex_id> alive;
-  alive.reserve(records.local_size());
-  records.for_all_local([&](const vertex_id& v, Record& rec) {
-    std::uint64_t degree = 0;
-    for_neighbors(rec, [&](vertex_id) { ++degree; });
-    rec.peel = peel_state{degree, 0, 0, false};
-    alive.push_back(v);
-  });
+template <typename ForNeighbors>
+degeneracy_stats degeneracy_peel::run(ForNeighbors&& for_neighbors) {
+  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::size_t kBatch = 8192;  // slots per decrement message (64 KiB)
+  auto& c = *comm_;
+  const auto nranks = static_cast<std::size_t>(c.size());
+  std::vector<std::uint64_t> alive(remaining_.size());
+  for (std::uint64_t s = 0; s < alive.size(); ++s) alive[s] = s;
+  const auto min_alive = [&] {
+    std::uint64_t m = kNone;
+    for (const std::uint64_t s : alive) m = std::min(m, remaining_[s]);
+    return m;
+  };
 
   degeneracy_stats stats;
-  stats.vertices = c.all_reduce_sum<std::uint64_t>(alive.size());
-  std::uint64_t global_alive = stats.vertices;
+  auto [global_alive, global_min] = reduce(alive.size(), min_alive());
+  stats.vertices = global_alive;
   std::uint64_t wave = 0;
   std::uint64_t level = 0;
+  std::vector<std::vector<std::uint64_t>> outbox(nranks);
+  std::vector<std::uint64_t> removed_now;
 
   while (global_alive > 0) {
-    // Jump the peel level straight to the globally smallest remaining degree
-    // (skipping empty levels costs one reduction instead of one per level).
-    std::uint64_t local_min = std::numeric_limits<std::uint64_t>::max();
-    for (const vertex_id v : alive) {
-      local_min = std::min(local_min, records.local_find(v)->peel.remaining);
-    }
-    level = std::max(level, c.all_reduce_min(local_min));
+    // Jump the level straight to the smallest remaining degree when the
+    // current level is exhausted; the wave below then removes >= 1 vertex.
+    level = std::max(level, global_min);
     stats.degeneracy = std::max(stats.degeneracy, level);
 
-    // Waves at this level until quiescent.
-    while (true) {
-      // Mark: no communication happens in this scan, so nothing can move
-      // `remaining` mid-scan (early decrement arrivals only park in
-      // `pending`) -- a vertex joins this wave iff its remaining degree
-      // after the previous wave's fold is <= level.
-      std::vector<vertex_id> removed_now;
-      std::size_t kept = 0;
-      for (const vertex_id v : alive) {
-        Record& rec = *records.local_find(v);
-        if (rec.peel.remaining <= level) {
-          rec.peel.removed = true;
-          rec.peel.rank = wave;
-          removed_now.push_back(v);
-        } else {
-          alive[kept++] = v;
-        }
+    // Mark: no communication happens in this scan, so nothing can move
+    // `remaining` mid-scan (early decrement arrivals only park in
+    // `pending`) -- a slot joins this wave iff its remaining degree after
+    // the previous wave's fold is <= level.
+    removed_now.clear();
+    std::size_t kept = 0;
+    for (const std::uint64_t s : alive) {
+      if (remaining_[s] <= level) {
+        removed_[s] = 1;
+        rank_[s] = wave;
+        removed_now.push_back(s);
+      } else {
+        alive[kept++] = s;
       }
-      alive.resize(kept);
-      // Notify: each removed vertex decrements every neighbor exactly once.
-      for (const vertex_id v : removed_now) {
-        for_neighbors(*records.local_find(v), [&](vertex_id u) {
-          records.async_visit_if_exists(u, ordering_detail::peel_decrement_visitor{});
-        });
-      }
-      c.barrier();  // all of this wave's decrements have been parked by now
-      // Fold point: the single place `remaining` moves.  No wave-(w+1)
-      // decrement can exist yet (its sender is gated behind the all_reduce
-      // below, which this rank has not entered), so the fold captures
-      // exactly the decrements of waves <= w -- structurally determined.
-      for (const vertex_id v : alive) {
-        peel_state& st = records.local_find(v)->peel;
-        st.remaining -= std::min(st.remaining, st.pending);
-        st.pending = 0;
-      }
-      const auto global_removed = c.all_reduce_sum<std::uint64_t>(removed_now.size());
-      if (global_removed == 0) break;
-      ++wave;
-      global_alive -= global_removed;
-      if (global_alive == 0) break;
     }
+    alive.resize(kept);
+    // Notify: each removed vertex decrements every neighbor exactly once,
+    // batched into slot lists per destination rank.
+    const auto ship = [&](std::size_t r) {
+      if (outbox[r].empty()) return;
+      c.async(static_cast<int>(r), decrement_handler{}, handle_,
+              serial::as_wire_span(outbox[r]));
+      outbox[r].clear();
+    };
+    for (const std::uint64_t s : removed_now) {
+      for_neighbors(s, [&](int owner, std::uint64_t slot) {
+        if (owner == c.rank()) {
+          decrement(slot);
+          return;
+        }
+        const auto r = static_cast<std::size_t>(owner);
+        outbox[r].push_back(slot);
+        if (outbox[r].size() >= kBatch) ship(r);
+      });
+    }
+    for (std::size_t r = 0; r < nranks; ++r) ship(r);
+    c.barrier();  // all of this wave's decrements have been parked by now
+    // Fold point: the single place `remaining` moves.  No wave-(w+1)
+    // decrement can exist yet (its sender is gated behind the all_reduce
+    // below, which this rank has not entered), so the fold captures
+    // exactly the decrements of waves <= w -- structurally determined.
+    for (const std::uint64_t s : alive) {
+      remaining_[s] -= std::min(remaining_[s], pending_[s]);
+      pending_[s] = 0;
+    }
+    const auto [global_removed, next_min] = reduce(removed_now.size(), min_alive());
+    if (global_removed == 0) {
+      throw std::logic_error("tripoll: degeneracy_peel: wave " + std::to_string(wave) +
+                             " at level " + std::to_string(level) + " removed nothing");
+    }
+    ++wave;
+    global_alive -= global_removed;
+    global_min = next_min;
   }
   stats.waves = wave;
   return stats;
