@@ -262,10 +262,10 @@ struct reference {
   std::vector<std::uint64_t> self_loops;  ///< per contributing rank
 };
 
-/// Serial k-core peel in the original level/wave formulation: at each level
-/// remove every alive vertex whose remaining degree is <= level, all at
-/// once, then fold the wave's decrements; a wave that removes nothing ends
-/// the level.
+/// Serial k-core peel, written independently of the distributed one: at
+/// each level remove every alive vertex whose remaining degree is <= level,
+/// all at once, then fold the wave's decrements; a wave that removes nothing
+/// ends the level and is not counted.
 tg::degeneracy_stats serial_peel(const std::map<vertex_id, std::vector<vertex_id>>& nbrs,
                                  std::map<vertex_id, std::uint64_t>& wave_of) {
   std::map<vertex_id, std::uint64_t> remaining;
