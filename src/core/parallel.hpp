@@ -1,17 +1,19 @@
 // Intra-rank parallel traversal primitives.
 //
-// The survey engine partitions the frozen CSR vertex walk across a small
-// worker pool (std::thread -- no OpenMP dependency).  Two queue shapes are
-// needed:
+// The survey engine partitions every phase's work items across a small
+// worker pool (std::thread -- no OpenMP dependency) whose worker 0 is the
+// owning rank thread; workers 1..T-1 exist only when T > 1.  Two queue
+// shapes are needed:
 //
 //   * chunk_queue -- self-scheduling ranges over [0, total): workers grab
 //     contiguous chunks via an atomic cursor (classic work stealing without
-//     per-item overhead).  Used for the send stages, where work per source
-//     vertex is skewed by degree.
+//     per-item overhead).  Used for the dry-run scan and the send stages,
+//     where work per source vertex is skewed by degree.
 //
 //   * task_queue<T> -- a mutex+condvar MPMC deque used for the receive side:
-//     the main (draining) thread enqueues intersection tasks carved out of
-//     incoming batches, workers pop until the queue is closed.
+//     the owning (draining) worker enqueues intersection tasks carved out of
+//     incoming batches; every worker runs queued tasks between chunks
+//     (try_pop), and spawned workers then pop until the queue is closed.
 //
 // Thread counts resolve through resolve_threads(): an explicit
 // survey_options::threads wins, 0 falls back to the TRIPOLL_THREADS
@@ -19,8 +21,9 @@
 // See docs/THREADING.md for the full concurrency contract.
 //
 // fork_join() is the blocking counterpart used by the ingest/freeze pipeline
-// (graph/io.cpp, graph/frozen.hpp): spawn workers 1..T-1, run worker 0 on the
-// calling thread, join, rethrow the first worker exception.  Workers may be
+// (graph/io.cpp, graph/frozen.hpp) and the survey dry-run: spawn workers
+// 1..T-1, run worker 0 on the calling thread, join, rethrow the first worker
+// exception.  Workers may be
 // pinned round-robin over the hardware CPUs (pin_current_thread) when the
 // user opts in via survey_options::pin_threads or TRIPOLL_PIN=1.
 #pragma once
@@ -180,8 +183,9 @@ class task_queue {
     return true;
   }
 
-  // Non-blocking variant for the draining thread: lets it interleave queue
-  // help with inbox polls instead of parking on the condvar.
+  // Non-blocking variant: lets a worker interleave queued tasks with its
+  // chunks (and the owning worker with inbox polls) instead of parking on
+  // the condvar.
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> lk(mu_);
     if (items_.empty()) return false;

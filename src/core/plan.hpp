@@ -66,11 +66,11 @@ enum class survey_mode {
 
 struct survey_options {
   survey_mode mode = survey_mode::push_pull;
-  /// Worker threads per rank for the traversal (frozen graphs only; the
-  /// mutable map always walks single-threaded).  0 = read TRIPOLL_THREADS
-  /// from the environment, defaulting to 1.  Results -- triangle counts,
-  /// volume_bytes, messages, per-callback fire counts -- are bit-identical
-  /// across thread counts; see docs/THREADING.md.
+  /// Workers per rank for the traversal, over every graph form; worker 0
+  /// is the calling rank thread, so 1 spawns no thread.  0 = read
+  /// TRIPOLL_THREADS from the environment, defaulting to 1.  Results --
+  /// triangle counts, volume_bytes, messages, per-callback fire counts --
+  /// are bit-identical across thread counts; see docs/THREADING.md.
   int threads = 0;
   /// Pin the engine's threads round-robin over hardware threads (NUMA
   /// locality for the arena-chunk scans).  false additionally consults the

@@ -17,17 +17,18 @@
 //     Rank(q) grants a "pull" when shipping Adjm+(q) once to that rank is
 //     cheaper, and the work then splits into Push and Pull phases.
 //
-// Intra-rank parallelism (docs/THREADING.md): with survey_options::threads
-// > 1 over a FROZEN graph, each phase's vertex walk is partitioned into
-// work-stealing chunks consumed by a small std::thread pool.  Workers stage
-// sends into per-thread buffers delivered straight to the thread-safe
-// transport (never through the communicator), and -- when every plan entry
-// was registered with .add_reduced() -- intersect incoming batches as tasks
-// firing into per-thread context slices, merged by the declared reductions
-// at phase end.  Counts, volume_bytes and messages are bit-identical across
-// thread counts: per-RPC serialization is unchanged and every reported
-// metric is a sum of per-batch/per-source contributions independent of the
-// partition.
+// One traversal path (docs/THREADING.md): every phase walks its work items
+// in work-stealing chunks over a pool of survey_options::threads workers,
+// whatever the graph form (map, frozen, loaded or overlay).  Worker 0 is
+// the owning rank thread, so threads=1 is a pool of one that spawns
+// nothing.  Workers stage sends into per-worker buffers delivered straight
+// to the thread-safe transport (never through the communicator), and --
+// with threads > 1 and every plan entry registered with .add_reduced() --
+// intersect incoming batches as tasks firing into per-worker context
+// slices, merged by the declared reductions at phase end.  Counts,
+// volume_bytes and messages are bit-identical across thread counts:
+// per-RPC serialization is unchanged and every reported metric is a sum of
+// per-batch/per-source contributions independent of the partition.
 //
 // Hub/tail intersection dispatch (core/intersect.hpp): when the frozen
 // graph carries hub bitmap rows and the plan ships no metadata, a wedge
@@ -47,6 +48,7 @@
 // context)` is a thin identity-projection wrapper over a one-callback plan.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -54,7 +56,9 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -219,13 +223,21 @@ class survey_engine {
   using view_type = triangle_view<wire_vm, wire_em>;
   using self = survey_engine<Graph, Plan>;
 
-  /// Frozen CSR storage exposes slot-addressed records and hub bitmap rows;
-  /// the parallel chunk walks and the bitmap kernels both key off this.
+  /// Compact graph-defined locator for a local record (map forms: record
+  /// pointer; frozen form: 4-byte CSR slot), stable for the whole survey
+  /// because a survey never mutates the graph.
+  using record_locator = typename Graph::record_locator;
+
+  /// Frozen CSR storage addresses its records by dense slot natively
+  /// (vid_at, with the slot as its own locator); the map forms are indexed
+  /// into slots once per run() (see index_slots).
+  static constexpr bool native_slots =
+      requires(const Graph& g, record_locator slot) { g.vid_at(slot); };
+
+  /// Frozen CSR storage carries hub bitmap rows; the bitmap kernels key off
+  /// this.
   static constexpr bool frozen_graph =
-      requires(const Graph& g, std::uint32_t slot) {
-        g.vid_at(slot);
-        g.hub_bitmap(slot);
-      };
+      requires(const Graph& g, record_locator slot) { g.hub_bitmap(slot); };
 
   /// A bitmap answers membership, not which adjacency entry matched, so the
   /// probe path exists only for metadata-free wire shapes over frozen CSR.
@@ -234,10 +246,9 @@ class survey_engine {
 
   /// May incoming batches be intersected on worker threads?  Requires every
   /// plan entry to carry a declared reduction (plan.hpp: add_reduced) so
-  /// fires land in per-thread context slices.  Otherwise a parallel run
+  /// fires land in per-worker context slices.  Otherwise a parallel run
   /// still parallelizes the send stages but intersects on the owning thread.
-  static constexpr bool task_capable =
-      frozen_graph && Plan::template parallel_fire_capable<view_type>;
+  static constexpr bool task_capable = Plan::template parallel_fire_capable<view_type>;
 
   /// Time-windowed surveys (plan.window(t0, t1)) filter on the graph's
   /// STORED edge metadata -- before projection -- so the predicate is
@@ -265,12 +276,9 @@ class survey_engine {
   plan_result<num_callbacks> run(survey_options opts = {}) {
     comm_->barrier();
     reset_counters();
-    threads_ = 1;
-    pin_ = false;
-    if constexpr (frozen_graph) {
-      threads_ = core::resolve_threads(opts.threads);
-      pin_ = core::resolve_pinning(opts.pin_threads);
-    }
+    threads_ = core::resolve_threads(opts.threads);
+    pin_ = core::resolve_pinning(opts.pin_threads);
+    index_slots();
     {
       const core::detail::plan_window w = plan_->time_window();
       win_active_ = window_capable && w.active;
@@ -313,11 +321,10 @@ class survey_engine {
     // reduce_scope::global entries (collective; runs on EVERY run shape).
     plan_->finish_reductions(*comm_);
 
-    // Release dry-run scratch.
-    targets_.clear();
-    targets_ = {};
-    pull_grants_.clear();
-    pull_grants_ = {};
+    // Release per-run scratch.
+    targets_ = targets_map{};
+    pull_grants_ = decltype(pull_grants_){};
+    slots_ = decltype(slots_){};
     return out;
   }
 
@@ -448,8 +455,7 @@ class survey_engine {
   /// this is the classic every-split walk with suffix = adj.size()-i-1; with
   /// one, splits whose wedge edge is out-of-window or whose admitted suffix
   /// is empty are skipped entirely (one O(|adj|) suffix-count pass keeps the
-  /// dry run linear).  Shared by the serial and parallel dry-run scans so
-  /// both register exactly the same (source, target) pairs.
+  /// dry run linear).
   template <typename Rec, typename Fn>
   void scan_wedge_splits(const Rec& rec, Fn&& fn) const {
     if (rec.adj.size() < 2) return;
@@ -475,18 +481,68 @@ class survey_engine {
     }
   }
 
-  // --- send paths (serial via the communicator, parallel via staged buffers) --
+  // --- one slot-addressed read over every graph form -------------------------
+
+  /// Index the map forms (graph::dodgr, graph::overlay) into (vid, locator)
+  /// slots, O(local V) once per run(); frozen CSR needs no index.  Every
+  /// phase then reads each form through vid_at / locator_at / resolve_record.
+  void index_slots() {
+    slots_.clear();
+    if constexpr (!native_slots) {
+      // Sources address p by a 32-bit slot, the bound frozen storage
+      // already enforces on its own slots.
+      if (graph_->local_num_vertices() > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("survey: more than 2^32-1 local vertices on one rank");
+      }
+      slots_.reserve(graph_->local_num_vertices());
+      graph_->for_all_local([&](const graph::vertex_id& v, const record_type& rec) {
+        slots_.emplace_back(v, &rec);
+      });
+    }
+  }
+
+  [[nodiscard]] graph::vertex_id vid_at(std::size_t slot) const {
+    if constexpr (native_slots) {
+      return graph_->vid_at(static_cast<record_locator>(slot));
+    } else {
+      return slots_[slot].first;
+    }
+  }
+
+  [[nodiscard]] record_locator locator_at(std::size_t slot) const {
+    if constexpr (native_slots) {
+      return static_cast<record_locator>(slot);
+    } else {
+      return slots_[slot].second;
+    }
+  }
+
+  /// Record of a vertex this rank owns (wedge batches, proposals and pulls
+  /// for q only ever reach Rank(q)).
+  [[nodiscard]] decltype(auto) owned_record(graph::vertex_id q) const {
+    return graph_->resolve_record(graph_->locate(q));
+  }
+
+  // --- send path: per-worker staged buffers ------------------------------------
 
   /// Per-worker send staging: the exact wire recipe of communicator::async
   /// (varint handler id + serialized args, coalesced per destination) with
   /// delivery straight to the thread-safe transport under this rank's id.
   /// Identical bytes-per-RPC and one logical message per RPC keep
   /// volume_bytes and messages invariant to how sends are grouped, hence to
-  /// the thread count (docs/THREADING.md).
+  /// the thread count (docs/THREADING.md).  The owning worker's sender also
+  /// carries the communicator: poll() drains the inbox, and every flush is
+  /// followed by a drain, so a rank sending to itself keeps its mailbox
+  /// bounded the way the communicator's own polling does.
   class staged_sender {
    public:
-    staged_sender(comm::transport& t, int rank, int nranks)
-        : t_(&t), rank_(rank), bufs_(static_cast<std::size_t>(nranks)),
+    staged_sender(comm::transport& t, int rank, int nranks, comm::communicator* owner)
+        : t_(&t), owner_(owner), rank_(rank),
+          max_bytes_(t.cfg().buffer_capacity),
+          bufs_(static_cast<std::size_t>(nranks)),
+          thresholds_(static_cast<std::size_t>(nranks),
+                      t.cfg().adaptive_flush ? std::min(t.cfg().flush_min_bytes, max_bytes_)
+                                             : max_bytes_),
           counts_(static_cast<std::size_t>(nranks), 0) {}
 
     template <typename Handler, typename... Args>
@@ -498,7 +554,11 @@ class survey_engine {
       w.write_varint(id);
       w(args...);
       ++counts_[static_cast<std::size_t>(dest)];
-      if (buf.size() >= kStageBytes) flush(dest);
+      auto& threshold = thresholds_[static_cast<std::size_t>(dest)];
+      if (buf.size() >= threshold) {
+        flush(dest);
+        threshold = std::min(threshold * 2, max_bytes_);
+      }
     }
 
     void flush(int dest) {
@@ -507,42 +567,58 @@ class survey_engine {
       const std::uint64_t n = counts_[static_cast<std::size_t>(dest)];
       counts_[static_cast<std::size_t>(dest)] = 0;
       t_->deliver(rank_, dest, buf.release(), n);
+      poll();
     }
 
     void flush_all() {
       for (int dest = 0; dest < static_cast<int>(bufs_.size()); ++dest) flush(dest);
     }
 
-    /// Fixed watermark: workers see no barrier-time decay, so a static value
-    /// keeps staging deterministic and simple (64 KiB amortizes transport
-    /// overhead without hoarding memory across `threads x nranks` buffers).
-    static constexpr std::size_t kStageBytes = 64 * 1024;
+    /// Owning worker only: run the handlers of everything delivered so far.
+    void poll() {
+      if (owner_ != nullptr) owner_->process_incoming();
+    }
 
    private:
     comm::transport* t_;
+    comm::communicator* owner_;
     int rank_;
+    std::size_t max_bytes_;  ///< the communicator's buffer_capacity
     std::vector<serial::byte_buffer> bufs_;
+    /// Per-destination byte watermarks, adaptive like the communicator's:
+    /// they start at flush_min_bytes (short phases deliver promptly) and
+    /// double per flush toward buffer_capacity (long phases amortize).  A
+    /// sender lives for one phase, so each phase starts small again.
+    std::vector<std::size_t> thresholds_;
     std::vector<std::uint64_t> counts_;
   };
 
-  /// Serial twin of staged_sender: forwards to the communicator (adaptive
-  /// flushing, polling) so the single-threaded path is exactly the old one.
-  struct comm_sender {
-    comm::communicator* c;
-    template <typename Handler, typename... Args>
-    void async(int dest, Handler h, const Args&... args) {
-      c->async(dest, h, args...);
-    }
+  struct no_slices {};
+  using slices_type =
+      std::conditional_t<task_capable, typename Plan::slice_tuple, no_slices>;
+
+  /// One worker's whole world: its staged sender, its context slices
+  /// (task_capable plans only) and its counter deltas, merged into the
+  /// engine in worker-index order at phase end.
+  struct worker_ctx {
+    worker_ctx(comm::transport& t, int rank, int nranks, comm::communicator* owner)
+        : sender(t, rank, nranks, owner) {}
+    staged_sender sender;
+    slices_type slices{};
+    std::array<std::uint64_t, num_callbacks> fired{};
+    std::uint64_t candidates = 0;
+    std::uint64_t push_batches = 0;
+    std::uint64_t triangles = 0;
+    std::uint64_t bitmap_batches = 0;
+    std::uint64_t list_batches = 0;
   };
 
-  /// Ship the wedge batch (p; q at position i; suffix beyond i) to Rank(q),
-  /// all metadata projected sender-side.  `snd` is a comm_sender on the
-  /// owning thread or a worker's staged_sender; the counters are the
-  /// caller's (engine-local or per-worker, merged later).
-  template <typename Sender>
-  void send_wedge_batch(Sender& snd, graph::vertex_id p, const record_type& rec,
-                        std::size_t i, std::uint64_t& cand_ctr,
-                        std::uint64_t& batch_ctr) const {
+  using task_fn = std::function<void(worker_ctx&)>;
+
+  /// Ship the wedge batch (p; q at position i; suffix beyond i) to Rank(q)
+  /// through worker `wc`, all metadata projected sender-side.
+  void send_wedge_batch(worker_ctx& wc, graph::vertex_id p, const record_type& rec,
+                        std::size_t i) const {
     const entry_type& q_entry = rec.adj[i];
     if (!admits(q_entry.edge_meta)) return;  // wedge edge outside the plan window
     const std::size_t n = rec.adj.size() - i - 1;
@@ -557,13 +633,13 @@ class survey_engine {
           candidate_type::make(e.target, e.target_rank, em_wire(e.edge_meta, owned)));
     }
     if (candidates.empty()) return;  // only reachable with an active window
-    cand_ctr += candidates.size();
-    ++batch_ctr;
+    wc.candidates += candidates.size();
+    ++wc.push_batches;
     decltype(auto) meta_p = pv(rec.meta);
     decltype(auto) meta_pq = pe(q_entry.edge_meta);
-    snd.async(graph_->owner(q_entry.target), wedge_batch_handler{}, handle_,
-              q_entry.target, p, vm_view(meta_p), em_view(meta_pq),
-              core::detail::as_batch_arg(candidates));
+    wc.sender.async(graph_->owner(q_entry.target), wedge_batch_handler{}, handle_,
+                    q_entry.target, p, vm_view(meta_p), em_view(meta_pq),
+                    core::detail::as_batch_arg(candidates));
   }
 
   void fire_callback(const view_type& view) {
@@ -574,17 +650,12 @@ class survey_engine {
   // --- dry-run bookkeeping types (declared early: they appear in member
   // --- function signatures below) --------------------------------------------
 
-  /// Compact graph-defined locator for a local record (map form: record
-  /// pointer; frozen form: 4-byte CSR slot).  Stable for the whole survey
-  /// (the graph is not mutated), so dry-run sources cache it.
-  using record_locator = typename Graph::record_locator;
-
-  /// One local wedge source (p, split index) with its cached locator: the
-  /// push and pull phases revisit every source, and re-finding p by hash
-  /// once per source pair would cost ~|E+| lookups per survey.
+  /// One local wedge source: p's slot and the split index.  The push and
+  /// pull phases revisit every source through the slot read (re-finding p
+  /// by hash would cost ~|E+| lookups per survey), so a source costs 8
+  /// bytes whatever the graph form.
   struct source_ref {
-    graph::vertex_id p = 0;
-    record_locator rec{};
+    std::uint32_t slot = 0;
     std::uint32_t split = 0;
   };
 
@@ -601,74 +672,57 @@ class survey_engine {
 
   using targets_map = std::unordered_map<graph::vertex_id, per_target>;
 
-  // --- intra-rank worker pool -------------------------------------------------
+  // --- the one traversal path: a chunked stage over a worker pool --------------
 
-  struct no_slices {};
-  using slices_type =
-      std::conditional_t<task_capable, typename Plan::slice_tuple, no_slices>;
-
-  /// One worker thread's whole world: its staged sender, its context slices
-  /// (task_capable plans only) and its counter deltas, merged into the
-  /// engine in worker-index order at phase end.
-  struct worker_ctx {
-    worker_ctx(comm::transport& t, int rank, int nranks) : sender(t, rank, nranks) {}
-    staged_sender sender;
-    slices_type slices{};
-    std::array<std::uint64_t, num_callbacks> fired{};
-    std::uint64_t candidates = 0;
-    std::uint64_t push_batches = 0;
-    std::uint64_t triangles = 0;
-    std::uint64_t bitmap_batches = 0;
-    std::uint64_t list_batches = 0;
-  };
-
-  using task_fn = std::function<void(worker_ctx&)>;
-
-  /// Per-phase worker pool: run_stage() spawns the workers on a send stage
-  /// and drains the inbox until they finish sending (so this rank only
-  /// enters the phase's closing barrier once its traffic is fully delivered
-  /// -- the quiescence handshake counts delivered buffers).  Workers then
-  /// consume intersect tasks until finish() closes the queue after the
-  /// barrier, joins them, and merges counters and slices deterministically.
-  /// The destructor makes barrier exceptions safe (close + join, no merge).
-  class parallel_pool {
+  /// Per-phase pool of threads_ workers over one chunked send stage.
+  /// Worker 0 is the owning (rank) thread; workers 1..T-1 are spawned only
+  /// when T > 1 (the core::fork_join convention), so threads=1 is a pool of
+  /// one that spawns nothing.  The owning worker drains its inbox before
+  /// each chunk and after each staged flush, then keeps draining until the
+  /// spawned workers finish sending: this rank enters the phase's closing
+  /// barrier only once its traffic is fully delivered (the quiescence
+  /// handshake counts delivered buffers).  With T > 1 and a task_capable
+  /// plan, incoming batches become intersect tasks that spawned workers
+  /// consume after their stage; finish() runs after the barrier, pops what
+  /// is still queued into the owning worker's context, joins, and merges
+  /// counters and slices in worker-index order.  The destructor makes
+  /// exceptions safe (close + join, no merge).
+  class worker_pool {
    public:
-    explicit parallel_pool(self& eng) : eng_(eng) {}
-
-    parallel_pool(const parallel_pool&) = delete;
-    parallel_pool& operator=(const parallel_pool&) = delete;
-
-    ~parallel_pool() {
-      eng_.tasks_.close();
-      eng_.tasks_enabled_ = false;
-      for (auto& t : threads_) {
-        if (t.joinable()) t.join();
+    explicit worker_pool(self& eng)
+        : eng_(eng), transport_(eng.comm_->underlying_transport()) {
+      const int rank = eng.comm_->rank();
+      const int nranks = eng.comm_->size();
+      for (int w = 0; w < eng.threads_; ++w) {
+        ctxs_.push_back(std::make_unique<worker_ctx>(transport_, rank, nranks,
+                                                     w == 0 ? eng.comm_ : nullptr));
       }
     }
 
-    template <typename Stage>
-    void run_stage(Stage&& stage) {
-      auto& transport = eng_.comm_->underlying_transport();
-      const int rank = eng_.comm_->rank();
-      const int nranks = eng_.comm_->size();
+    worker_pool(const worker_pool&) = delete;
+    worker_pool& operator=(const worker_pool&) = delete;
+
+    ~worker_pool() { close_and_join(); }
+
+    /// Run `item(wc, k)` for every work item k handed out by `chunks`.
+    /// Both must outlive the pool (spawned workers reference them).
+    template <typename Item>
+    void run_stage(core::chunk_queue& chunks, const Item& item) {
+      const int threads = eng_.threads_;
       eng_.tasks_.reopen();
-      eng_.tasks_enabled_ = task_capable;
-      eng_.senders_active_.store(eng_.threads_, std::memory_order_relaxed);
-      ctxs_.reserve(static_cast<std::size_t>(eng_.threads_));
-      for (int w = 0; w < eng_.threads_; ++w) {
-        ctxs_.push_back(std::make_unique<worker_ctx>(transport, rank, nranks));
-      }
-      for (int w = 0; w < eng_.threads_; ++w) {
-        threads_.emplace_back([this, w, rank, &transport, stage]() mutable {
+      eng_.tasks_enabled_ = task_capable && threads > 1;
+      eng_.senders_active_.store(threads - 1, std::memory_order_relaxed);
+      const int rank = eng_.comm_->rank();
+      for (int w = 1; w < threads; ++w) {
+        threads_.emplace_back([this, w, rank, threads, &chunks, &item] {
           // Rank-strided pin slots keep co-located ranks (inproc backend,
           // several socket ranks on one host) off each other's cores.
-          if (eng_.pin_) core::pin_current_thread(rank * eng_.threads_ + w);
+          if (eng_.pin_) core::pin_current_thread(rank * threads + w);
           worker_ctx& wc = *ctxs_[static_cast<std::size_t>(w)];
           try {
-            stage(wc);
-            wc.sender.flush_all();
+            walk(wc, chunks, item);
           } catch (...) {
-            transport.abort_run(std::current_exception());
+            transport_.abort_run(std::current_exception());
           }
           eng_.senders_active_.fetch_sub(1, std::memory_order_acq_rel);
           task_fn task;
@@ -676,29 +730,25 @@ class survey_engine {
             try {
               task(wc);
             } catch (...) {
-              transport.abort_run(std::current_exception());
+              transport_.abort_run(std::current_exception());
             }
             task = nullptr;
           }
         });
       }
-      // The owning thread drains (and enqueues tasks) while workers send;
-      // leaving only once senders_active_ hits zero guarantees every staged
-      // buffer has been delivered before this rank can announce idle.
+      walk(*ctxs_[0], chunks, item);
       while (eng_.senders_active_.load(std::memory_order_acquire) > 0) {
         eng_.comm_->process_incoming();
-        std::this_thread::yield();
+        if (!run_queued_tasks(*ctxs_[0])) std::this_thread::yield();
       }
     }
 
     void finish() {
-      if (finished_) return;
-      finished_ = true;
+      // After the closing barrier every batch has been handled, so every
+      // intersect task is queued: the owning worker helps drain the queue.
+      run_queued_tasks(*ctxs_[0]);
       const bool had_tasks = eng_.tasks_enabled_;
-      eng_.tasks_.close();
-      eng_.tasks_enabled_ = false;
-      for (auto& t : threads_) t.join();
-      threads_.clear();
+      close_and_join();
       for (auto& up : ctxs_) {
         worker_ctx& wc = *up;
         eng_.local_candidates_ += wc.candidates;
@@ -718,15 +768,60 @@ class survey_engine {
           eng_.plan_->merge_slices(slices);  // worker-index order
         }
       }
-      ctxs_.clear();
     }
 
    private:
+    template <typename Item>
+    void walk(worker_ctx& wc, core::chunk_queue& chunks, const Item& item) {
+      std::size_t first = 0, last = 0;
+      for (;;) {
+        // Intersect what has arrived before sending more: the owning worker
+        // turns its inbox into tasks, and every worker consumes them between
+        // chunks, so stolen payloads never pile up for a whole phase.
+        wc.sender.poll();
+        run_queued_tasks(wc);
+        if (!chunks.next(first, last)) break;
+        for (std::size_t k = first; k < last; ++k) item(wc, k);
+        transport_.throw_if_aborted();
+      }
+      wc.sender.flush_all();
+    }
+
+    /// Run every task queued right now in `wc`; false when there was none.
+    bool run_queued_tasks(worker_ctx& wc) {
+      bool ran = false;
+      task_fn task;
+      while (eng_.tasks_.try_pop(task)) {
+        task(wc);
+        task = nullptr;
+        ran = true;
+      }
+      return ran;
+    }
+
+    void close_and_join() {
+      eng_.tasks_.close();
+      eng_.tasks_enabled_ = false;
+      for (auto& t : threads_) {
+        if (t.joinable()) t.join();
+      }
+      threads_.clear();
+    }
+
     self& eng_;
+    comm::transport& transport_;
     std::vector<std::unique_ptr<worker_ctx>> ctxs_;
     std::vector<std::thread> threads_;
-    bool finished_ = false;
   };
+
+  /// Every send stage: walk work items [0, n) in chunks over a worker_pool,
+  /// `item(wc, k)` sending for item k through worker wc.
+  template <typename Item>
+  phase_metrics run_phase(std::size_t n, const Item& item) {
+    core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
+    worker_pool pool(*this);  // declared after chunks: joins before chunks dies
+    return timed_phase([&] { pool.run_stage(chunks, item); }, [&] { pool.finish(); });
+  }
 
   // --- intersection (shared by the inline and worker-task receive paths) ------
 
@@ -741,10 +836,10 @@ class survey_engine {
                            const core::detail::batch_arg<candidate_type>& candidates,
                            Sink&& sink, std::uint64_t& bitmap_ctr,
                            std::uint64_t& list_ctr) const {
+    const record_locator loc = graph_->locate(q);
     if constexpr (bitmap_eligible) {
       static_assert(serial::detail::bitwise<candidate_type>);
-      const auto slot = graph_->locate(q);
-      const core::bitmap_view bm = graph_->hub_bitmap(slot);
+      const core::bitmap_view bm = graph_->hub_bitmap(loc);
       if (!bm.empty()) {
         ++bitmap_ctr;
         core::bitmap_probe(bm, candidates.data(), sizeof(candidate_type),
@@ -756,21 +851,14 @@ class survey_engine {
                            });
         return;
       }
-      ++list_ctr;
-      decltype(auto) rec_q = graph_->resolve_record(slot);
-      intersect_wedge_list(rec_q, q, p, meta_p, meta_pq, candidates,
-                           std::forward<Sink>(sink));
-    } else {
-      ++list_ctr;
-      const auto rec_q = graph_->local_find(q);
-      assert(rec_q);
-      intersect_wedge_list(*rec_q, q, p, meta_p, meta_pq, candidates,
-                           std::forward<Sink>(sink));
     }
+    ++list_ctr;
+    intersect_wedge_list(graph_->resolve_record(loc), q, p, meta_p, meta_pq, candidates,
+                         std::forward<Sink>(sink));
   }
 
-  template <typename Rec, typename Sink>
-  void intersect_wedge_list(const Rec& rec_q, graph::vertex_id q, graph::vertex_id p,
+  template <typename Sink>
+  void intersect_wedge_list(const record_type& rec_q, graph::vertex_id q, graph::vertex_id p,
                             const wire_vm& meta_p, const wire_em& meta_pq,
                             const core::detail::batch_arg<candidate_type>& candidates,
                             Sink&& sink) const {
@@ -803,8 +891,9 @@ class survey_engine {
                       const per_target& t, Sink&& sink, std::uint64_t& cand_ctr,
                       std::uint64_t& bitmap_ctr, std::uint64_t& list_ctr) const {
     for (const source_ref& s : t.sources) {
-      decltype(auto) rec_p = graph_->resolve_record(s.rec);
-      const graph::vertex_id p = s.p;
+      const record_locator loc = locator_at(s.slot);
+      decltype(auto) rec_p = graph_->resolve_record(loc);
+      const graph::vertex_id p = vid_at(s.slot);
       const std::uint32_t i = s.split;
       bool windowed = false;
       if constexpr (window_capable) windowed = win_active_;
@@ -817,7 +906,7 @@ class survey_engine {
       }
       if constexpr (bitmap_eligible) {
         static_assert(serial::detail::bitwise<pulled_type>);
-        const core::bitmap_view bm = graph_->hub_bitmap(s.rec);
+        const core::bitmap_view bm = graph_->hub_bitmap(loc);
         if (!bm.empty()) {
           ++bitmap_ctr;
           core::bitmap_probe(bm, entries.data(), sizeof(pulled_type), entries.size(),
@@ -854,41 +943,10 @@ class survey_engine {
   // --- push-only (Alg. 1) ------------------------------------------------------
 
   phase_metrics run_push_all_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        const std::size_t n = graph_->local_num_vertices();
-        core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t slot = first; slot < last; ++slot) {
-                    const auto loc = static_cast<record_locator>(slot);
-                    decltype(auto) rec = graph_->resolve_record(loc);
-                    const graph::vertex_id p = graph_->vid_at(loc);
-                    for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) {
-                      send_wedge_batch(wc.sender, p, rec, i, wc.candidates,
-                                       wc.push_batches);
-                    }
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
-      }
-    }
-    return timed_phase([&] { push_all(); });
-  }
-
-  void push_all() {
-    comm_sender snd{comm_};
-    graph_->for_all_local([&](const graph::vertex_id& p, const record_type& rec) {
-      for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) {
-        send_wedge_batch(snd, p, rec, i, local_candidates_, local_push_batches_);
-      }
+    return run_phase(graph_->local_num_vertices(), [&](worker_ctx& wc, std::size_t slot) {
+      decltype(auto) rec = graph_->resolve_record(locator_at(slot));
+      const graph::vertex_id p = vid_at(slot);
+      for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) send_wedge_batch(wc, p, rec, i);
     });
   }
 
@@ -927,86 +985,36 @@ class survey_engine {
   // --- push-pull (Sec. 4.4) ------------------------------------------------------
 
   void dry_run() {
-    // Communication-free counting pass; parallel over CSR slot chunks for
-    // frozen graphs (per-worker partial maps merged in worker order -- the
-    // per-target sums are partition-independent, only source order varies,
-    // and source order never feeds a reported metric).
-    bool scanned_parallel = false;
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        dry_run_scan_parallel();
-        scanned_parallel = true;
-      }
-    }
-    if (!scanned_parallel) {
-      graph_->for_all_local_located([&](const graph::vertex_id& p, const record_type& rec,
-                                        record_locator loc) {
-        scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
-                                   std::uint64_t admitted_suffix) {
-          per_target& t = targets_[q_entry.target];
-          t.candidate_count += admitted_suffix;
-          t.q_out_degree = q_entry.target_out_degree;
-          t.sources.push_back(source_ref{p, loc, static_cast<std::uint32_t>(i)});
-        });
-      });
-    }
-    // One aggregate proposal per (this rank, q) -- but only where pulling
-    // could possibly win.  d+(q) is already local (the builder's P6 flow),
-    // and Rank(q) grants a pull iff d+(q) < candidate_count, so a proposal
-    // that fails that test here is known-hopeless and never sent.
-    for (const auto& [q, t] : targets_) {
-      if (t.q_out_degree >= t.candidate_count) {
-        ++local_proposals_filtered_;
-        continue;  // pull_granted stays false; sources push in push_undecided()
-      }
-      comm_->async(graph_->owner(q), propose_handler{}, handle_, q, comm_->rank(),
-                   t.candidate_count);
-    }
-    // The barrier of timed_phase() drains proposals and decisions.
-  }
-
-  void dry_run_scan_parallel() {
+    // Communication-free counting pass over slot chunks: per-worker partial
+    // maps merged in worker order (the per-target sums are
+    // partition-independent, only source order varies, and source order
+    // never feeds a reported metric).  Worker 0's map becomes targets_
+    // itself, so a one-worker scan copies nothing.
     const std::size_t n = graph_->local_num_vertices();
     core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
     std::vector<targets_map> partial(static_cast<std::size_t>(threads_));
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads_));
-    auto scan = [&](targets_map& out, std::exception_ptr& err) {
-      try {
-        std::size_t first = 0, last = 0;
-        while (chunks.next(first, last)) {
-          for (std::size_t slot = first; slot < last; ++slot) {
-            const auto loc = static_cast<record_locator>(slot);
-            decltype(auto) rec = graph_->resolve_record(loc);
-            if (rec.adj.size() < 2) continue;
-            const graph::vertex_id p = graph_->vid_at(loc);
-            scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
-                                       std::uint64_t admitted_suffix) {
-              per_target& t = out[q_entry.target];
-              t.candidate_count += admitted_suffix;
-              t.q_out_degree = q_entry.target_out_degree;
-              t.sources.push_back(source_ref{p, loc, static_cast<std::uint32_t>(i)});
-            });
-          }
-        }
-      } catch (...) {
-        err = std::current_exception();
-      }
-    };
-    std::vector<std::thread> workers;
     const int rank = comm_->rank();
-    for (int w = 1; w < threads_; ++w) {
-      workers.emplace_back([this, &scan, &partial, &errors, rank, w] {
-        if (pin_) core::pin_current_thread(rank * threads_ + w);
-        scan(partial[static_cast<std::size_t>(w)], errors[static_cast<std::size_t>(w)]);
-      });
-    }
-    scan(partial[0], errors[0]);  // the owning thread participates (comm-free, unpinned)
-    for (auto& w : workers) w.join();
-    for (const auto& err : errors) {
-      if (err) std::rethrow_exception(err);
-    }
-    for (auto& pm : partial) {
-      for (auto& [q, t] : pm) {
+    core::fork_join(threads_, [&](int w) {
+      if (pin_ && w > 0) core::pin_current_thread(rank * threads_ + w);
+      targets_map& out = partial[static_cast<std::size_t>(w)];
+      std::size_t first = 0, last = 0;
+      while (chunks.next(first, last)) {
+        for (std::size_t slot = first; slot < last; ++slot) {
+          decltype(auto) rec = graph_->resolve_record(locator_at(slot));
+          scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
+                                     std::uint64_t admitted_suffix) {
+            per_target& t = out[q_entry.target];
+            t.candidate_count += admitted_suffix;
+            t.q_out_degree = q_entry.target_out_degree;
+            t.sources.push_back(
+                source_ref{static_cast<std::uint32_t>(slot), static_cast<std::uint32_t>(i)});
+          });
+        }
+      }
+    });
+    targets_ = std::move(partial[0]);
+    for (std::size_t w = 1; w < partial.size(); ++w) {
+      for (auto& [q, t] : partial[w]) {
         per_target& dst = targets_[q];
         dst.candidate_count += t.candidate_count;
         dst.q_out_degree = t.q_out_degree;
@@ -1016,19 +1024,30 @@ class survey_engine {
           dst.sources.insert(dst.sources.end(), t.sources.begin(), t.sources.end());
         }
       }
-      pm = {};
+      partial[w] = targets_map{};
     }
+    // One aggregate proposal per (this rank, q) -- but only where pulling
+    // could possibly win.  d+(q) is already local (the builder's P6 flow),
+    // and Rank(q) grants a pull iff d+(q) < candidate_count, so a proposal
+    // that fails that test here is known-hopeless and never sent.
+    for (const auto& [q, t] : targets_) {
+      if (t.q_out_degree >= t.candidate_count) {
+        ++local_proposals_filtered_;
+        continue;  // pull_granted stays false; its sources push
+      }
+      comm_->async(graph_->owner(q), propose_handler{}, handle_, q, comm_->rank(),
+                   t.candidate_count);
+    }
+    // The barrier of timed_phase() drains proposals and decisions.
   }
 
   struct propose_handler {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     int source_rank, std::uint64_t candidate_count) {
       self& eng = c.resolve(h);
-      const auto rec_q = eng.graph_->local_find(q);
-      assert(rec_q);
       // Pull pays off when shipping Adjm+(q) once beats receiving the
       // candidates: |Adj+(q)| < sum of suffix lengths from that rank.
-      const bool pull = rec_q->out_degree() < candidate_count;
+      const bool pull = eng.owned_record(q).out_degree() < candidate_count;
       if (pull) {
         eng.pull_grants_[q].push_back(source_rank);
         ++eng.local_pulls_granted_;
@@ -1048,93 +1067,36 @@ class survey_engine {
   };
 
   phase_metrics run_push_undecided_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        // Materialize the non-granted sources so workers chunk a flat array.
-        std::vector<const source_ref*> work;
-        for (const auto& [q, t] : targets_) {
-          if (t.pull_granted) continue;
-          for (const source_ref& s : t.sources) work.push_back(&s);
-        }
-        core::chunk_queue chunks(work.size(), core::chunk_size_for(work.size(), threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t k = first; k < last; ++k) {
-                    const source_ref& s = *work[k];
-                    decltype(auto) rec = graph_->resolve_record(s.rec);
-                    send_wedge_batch(wc.sender, s.p, rec, s.split, wc.candidates,
-                                     wc.push_batches);
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
-      }
-    }
-    return timed_phase([&] { push_undecided(); });
-  }
-
-  void push_undecided() {
-    comm_sender snd{comm_};
+    std::vector<const per_target*> work;
     for (const auto& [q, t] : targets_) {
-      if (t.pull_granted) continue;
-      for (const source_ref& s : t.sources) {
-        decltype(auto) rec = graph_->resolve_record(s.rec);
-        send_wedge_batch(snd, s.p, rec, s.split, local_candidates_, local_push_batches_);
-      }
+      if (!t.pull_granted) work.push_back(&t);
     }
+    return run_phase(work.size(), [&](worker_ctx& wc, std::size_t k) {
+      for (const source_ref& s : work[k]->sources) {
+        send_wedge_batch(wc, vid_at(s.slot), graph_->resolve_record(locator_at(s.slot)),
+                         s.split);
+      }
+    });
   }
 
   phase_metrics run_pull_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        std::vector<std::pair<graph::vertex_id, const std::vector<int>*>> pulls;
-        pulls.reserve(pull_grants_.size());
-        for (const auto& [q, ranks] : pull_grants_) pulls.emplace_back(q, &ranks);
-        core::chunk_queue chunks(pulls.size(),
-                                 core::chunk_size_for(pulls.size(), threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t k = first; k < last; ++k) {
-                    send_pulled_adjacency(wc.sender, pulls[k].first, *pulls[k].second);
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
-      }
-    }
-    return timed_phase([&] { pull_phase(); });
-  }
-
-  void pull_phase() {
-    comm_sender snd{comm_};
-    for (const auto& [q, ranks] : pull_grants_) {
-      send_pulled_adjacency(snd, q, ranks);
-    }
+    std::vector<std::pair<graph::vertex_id, const std::vector<int>*>> pulls;
+    pulls.reserve(pull_grants_.size());
+    for (const auto& [q, ranks] : pull_grants_) pulls.emplace_back(q, &ranks);
+    return run_phase(pulls.size(), [&](worker_ctx& wc, std::size_t k) {
+      send_pulled_adjacency(wc, pulls[k].first, *pulls[k].second);
+    });
   }
 
   /// Serialize Adjm+(q) once and ship it to every granted rank.
-  template <typename Sender>
-  void send_pulled_adjacency(Sender& snd, graph::vertex_id q,
+  void send_pulled_adjacency(worker_ctx& wc, graph::vertex_id q,
                              const std::vector<int>& ranks) const {
-    const auto rec_q = graph_->local_find(q);
-    assert(rec_q);
+    decltype(auto) rec_q = owned_record(q);
     std::vector<pulled_type> entries;
-    entries.reserve(rec_q->adj.size());
+    entries.reserve(rec_q.adj.size());
     std::vector<pe_type> owned;
-    if constexpr (edge_scratch_needed) owned.reserve(rec_q->adj.size());
-    for (const entry_type& e : rec_q->adj) {
+    if constexpr (edge_scratch_needed) owned.reserve(rec_q.adj.size());
+    for (const entry_type& e : rec_q.adj) {
       if (!admits(e.edge_meta)) continue;  // closing edge outside the window
       entries.push_back(
           pulled_type::make(e.target, e.target_rank, em_wire(e.edge_meta, owned)));
@@ -1142,10 +1104,10 @@ class survey_engine {
     bool windowed = false;
     if constexpr (window_capable) windowed = win_active_;
     if (windowed && entries.empty()) return;  // nothing in-window to close against
-    decltype(auto) meta_q = pv(rec_q->meta);
+    decltype(auto) meta_q = pv(rec_q.meta);
     for (const int dest : ranks) {
-      snd.async(dest, pulled_adj_handler{}, handle_, q, vm_view(meta_q),
-                core::detail::as_batch_arg(entries));
+      wc.sender.async(dest, pulled_adj_handler{}, handle_, q, vm_view(meta_q),
+                      core::detail::as_batch_arg(entries));
     }
   }
 
@@ -1188,6 +1150,8 @@ class survey_engine {
 
   targets_map targets_;
   std::unordered_map<graph::vertex_id, std::vector<int>> pull_grants_;
+  /// Map forms only: (vid, locator) per local record (index_slots).
+  std::vector<std::pair<graph::vertex_id, record_locator>> slots_;
 
   int threads_ = 1;
   bool pin_ = false;  ///< resolved survey_options::pin_threads / TRIPOLL_PIN

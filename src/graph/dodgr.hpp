@@ -121,15 +121,6 @@ class dodgr {
     return *loc;
   }
 
-  /// for_all_local with the record's locator supplied alongside, so scans
-  /// that cache locators (the survey dry run) pay no per-vertex lookup.
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    map_.for_all_local([&](const vertex_id& v, const record_type& rec) {
-      fn(v, rec, &rec);
-    });
-  }
-
   [[nodiscard]] std::size_t local_num_vertices() const noexcept {
     return map_.local_size();
   }

@@ -416,16 +416,6 @@ class frozen_dodgr {
     return ar_.bm_words.size() > 0;
   }
 
-  /// for_all_local with the CSR slot supplied alongside: scans that cache
-  /// locators (the survey dry run) get them for free from the loop index.
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    for (std::size_t i = 0; i < ar_.vid.size(); ++i) {
-      const record_view rec = record_at(i);
-      fn(ar_.vid[i], rec, static_cast<record_locator>(i));
-    }
-  }
-
   /// Apply `fn(vertex_id, const record_view&)` to every local vertex, in
   /// ascending <+ order (the degeneracy-ordered CSR walk).
   template <typename Fn>

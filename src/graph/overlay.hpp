@@ -15,7 +15,7 @@
 // The overlay exposes the exact DODGr read API the survey engine traverses
 // (record views with <+-sorted Adjm+, record locators, owner mapping), so
 // core/survey.hpp and core/plan.hpp run over it unchanged -- through the
-// generic (non-frozen) engine path, whose reported metrics are sums of
+// engine's one traversal path, whose reported metrics are sums of
 // per-batch contributions and therefore bit-identical to surveying a full
 // rebuild of the same logical graph.
 //
@@ -69,9 +69,9 @@
 // Thread-safety: the overlay is rank-local mutable state; mutating
 // collectives (ingest/expire_before/compact) must be called from the
 // owning thread with no survey in flight (docs/THREADING.md,
-// docs/STREAMING.md).  Surveys over the overlay run the engine's serial
-// per-rank path (the overlay is not a frozen_graph), which is what makes
-// the bit-identity guarantee thread-count-trivial.
+// docs/STREAMING.md).  Surveys over the overlay honour
+// survey_options::threads like every other graph form; only the hub-bitmap
+// kernels stay frozen-only.
 #pragma once
 
 #include <algorithm>
@@ -206,11 +206,6 @@ class overlay {
   template <typename Fn>
   void for_all_local(Fn&& fn) const {
     for (const auto& [v, nd] : nodes_) fn(v, nd.rec);
-  }
-
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    for (const auto& [v, nd] : nodes_) fn(v, nd.rec, &nd.rec);
   }
 
   [[nodiscard]] std::size_t local_num_vertices() const noexcept {

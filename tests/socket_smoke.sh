@@ -181,6 +181,24 @@ if [ "${reload_count:-}" != "triangles $ov_count" ]; then
   fail=1
 fi
 
+echo "== overlay traversal: ingest --threads 4 vs --threads 1 on both backends =="
+# Overlay surveys take the same pooled traversal as frozen ones, so every
+# printed ingest metric must be bit-identical across thread counts.
+"$CLI" ingest "$work/ov_snap" "$work/g_batch.txt" "$RANKS" --threads 1 \
+  >"$work/inproc.ingest.t1" || fail=1
+"$CLI" ingest "$work/ov_snap" "$work/g_batch.txt" "$RANKS" --threads 4 \
+  >"$work/inproc.ingest.t4" || fail=1
+run_socket_external ingest "$work/ov_snap" "$work/g_batch.txt" "$RANKS" --threads 4 \
+  >"$work/socket.ingest.t4" || fail=1
+for backend in inproc socket; do
+  if diff -u "$work/inproc.ingest.t1" "$work/$backend.ingest.t4"; then
+    echo "ingest threads 4 ($backend): IDENTICAL"
+  else
+    echo "ingest threads 4 ($backend): MISMATCH vs --threads 1" >&2
+    fail=1
+  fi
+done
+
 echo "== parallel traversal: --threads sweep over the frozen snapshot =="
 # The loaded graph is frozen CSR storage, so --threads engages the parallel
 # engine; every printed metric (triangles, volume, messages, pulls,

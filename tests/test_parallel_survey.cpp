@@ -122,30 +122,30 @@ TEST_P(ParallelMatrix, ThreadSweepIsBitIdentical) {
     tg::dodgr<tg::none, tg::none> g(c);
     build_graph(c, g, ordering);
 
-    // Map-form baseline (always single-threaded traversal).
-    const auto map_fp = count_run(c, g, {mode});
-
     auto fz = tg::freeze(g);
     run_fingerprint base;
     for (const int threads : {1, 2, 4, 8}) {
       const auto fp = count_run(c, fz, {mode, threads});
       if (threads == 1) {
         base = fp;
-        // The frozen run must agree with the map run on every observable
-        // except the kernel mix (the map form has no bitmap rows).
-        require(fp.triangles == map_fp.triangles, "frozen vs map triangles");
-        require(fp.fires == map_fp.fires, "frozen vs map fires");
-        require(fp.volume_bytes == map_fp.volume_bytes, "frozen vs map volume");
-        require(fp.messages == map_fp.messages, "frozen vs map messages");
-        require(map_fp.bitmap_batches == 0, "map run must not use bitmaps");
-        require(fp.bitmap_batches + fp.list_batches ==
-                    map_fp.bitmap_batches + map_fp.list_batches,
-                "total closed batches frozen vs map");
         require(fp.triangles > 0, "graph must contain triangles");
       } else {
         require(fp == base, "threads=" + std::to_string(threads) + " diverged: " +
                                 fp_str(fp) + " vs " + fp_str(base));
       }
+      // The map form takes the same traversal path at every thread count and
+      // must agree with the threads=1 frozen run on every observable except
+      // the kernel mix (the map form has no bitmap rows).
+      const auto map_fp = count_run(c, g, {mode, threads});
+      const std::string at = " (map, threads=" + std::to_string(threads) + ")";
+      require(map_fp.triangles == base.triangles, "frozen vs map triangles" + at);
+      require(map_fp.fires == base.fires, "frozen vs map fires" + at);
+      require(map_fp.volume_bytes == base.volume_bytes, "frozen vs map volume" + at);
+      require(map_fp.messages == base.messages, "frozen vs map messages" + at);
+      require(map_fp.bitmap_batches == 0, "map run must not use bitmaps" + at);
+      require(base.bitmap_batches + base.list_batches ==
+                  map_fp.bitmap_batches + map_fp.list_batches,
+              "total closed batches frozen vs map" + at);
     }
   });
 }

@@ -612,8 +612,10 @@ TEST(SurveyService, ShutdownDrainsQueuedPlansWithError) {
   opts.max_batch = 1000;
   with_daemon(1, opts, [&](const std::string& spec) {
     std::atomic<bool> queued_got_shutdown_error{false};
+    std::atomic<bool> queued_connected{false};
     std::thread queued([&] {
       tc::service_client client(spec);
+      queued_connected.store(true);
       ts::plan_request req;
       req.units = {unit(ts::unit_kind::count)};
       try {
@@ -623,6 +625,12 @@ TEST(SurveyService, ShutdownDrainsQueuedPlansWithError) {
       }
     });
     // Let the submission reach the daemon's pending queue, then shut down.
+    // The grace period starts once the client is connected: under a
+    // sanitizer the dial alone can outlast it, and a shutdown that lands
+    // first leaves the queued client nothing to connect to.
+    while (!queued_connected.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     tc::service_client control(spec);
     control.shutdown();

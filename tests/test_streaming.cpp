@@ -101,9 +101,11 @@ metrics survey_metrics(tc::communicator& c, Graph& g, int threads = 1) {
 
 template <typename Graph>
 std::uint64_t windowed_count(tc::communicator& c, Graph& g, std::uint64_t t0,
-                             std::uint64_t t1) {
+                             std::uint64_t t1, int threads = 0) {
   cb::count_context ctx;
-  (void)cb::plan_for(g, cb::count_callback{}, ctx).window(t0, t1).run({});
+  (void)cb::plan_for(g, cb::count_callback{}, ctx)
+      .window(t0, t1)
+      .run({tripoll::survey_mode::push_pull, threads});
   return ctx.global_count(c);
 }
 
@@ -123,7 +125,8 @@ std::string fresh_prefix(const char* tag) {
 // ranks are sticky by design -- a re-peel is a full-graph pass -- so the
 // orientations may differ while the triangle count cannot; the
 // overlay-vs-compaction metric identity for degeneracy is covered below.)
-// The rebuild is surveyed at 1 and 4 threads: results are thread-invariant.
+// The overlay and the rebuild are each surveyed at 1 and 4 threads, plus one
+// windowed overlay count at 4 threads: results are thread-invariant.
 TEST(StreamingOverlay, BaseDeltaBitIdentityMatrix) {
   const auto edges = er_edges(100, 600, 777);
   ASSERT_GT(edges.size(), 50u);
@@ -164,9 +167,18 @@ TEST(StreamingOverlay, BaseDeltaBitIdentityMatrix) {
           next += take;
 
           const auto om = survey_metrics(c, ov);
+          const auto om4 = survey_metrics(c, ov, 4);
           auto rebuilt = freeze_edges(c, applied, ord);
           const auto m1 = survey_metrics(c, rebuilt, 1);
           const auto m4 = survey_metrics(c, rebuilt, 4);
+
+          EXPECT_EQ(om4.triangles, om.triangles);
+          EXPECT_EQ(om4.volume, om.volume);
+          EXPECT_EQ(om4.messages, om.messages);
+          const std::uint64_t w1 = windowed_count(c, ov, 0, 500000, 1);
+          EXPECT_GT(w1, 0u);
+          EXPECT_EQ(windowed_count(c, ov, 0, 500000, 4), w1);
+          EXPECT_EQ(windowed_count(c, rebuilt, 0, 500000, 1), w1);
 
           EXPECT_EQ(om.triangles, m1.triangles)
               << "ord " << static_cast<int>(ord) << " ranks " << ranks

@@ -50,8 +50,8 @@
 // Options:
 //   --ordering {degree,degeneracy}   DODGr <+ vertex order (graph-building cmds)
 //   --backend {inproc,socket}        transport backend (default inproc)
-//   --threads {n}                    worker threads per rank for frozen-graph
-//                                    surveys (default TRIPOLL_THREADS env or 1)
+//   --threads {n}                    worker threads per rank for surveys
+//                                    (default TRIPOLL_THREADS env or 1)
 //
 // Backend selection: `--backend socket` runs every rank as a separate OS
 // process.  Without TRIPOLL_RANK set, the CLI forks <ranks> local processes
@@ -124,8 +124,8 @@ int usage() {
                "  --backend <inproc|socket>       transport backend (default inproc;\n"
                "                                  socket forks one process per rank, or\n"
                "                                  joins a TRIPOLL_RANK rendezvous)\n"
-               "  --threads <n>                   worker threads per rank for frozen-graph\n"
-               "                                  surveys, parallel ingest and freeze\n"
+               "  --threads <n>                   worker threads per rank for surveys,\n"
+               "                                  parallel ingest and freeze\n"
                "                                  (default: TRIPOLL_THREADS env or 1;\n"
                "                                  results are identical at any count)\n"
                "  --compress                      snapshot save: write the v3 compressed\n"
@@ -768,7 +768,9 @@ int ingest_run(const std::string& prefix, const std::string& batch_path, int ran
     }
     const auto census = ov.census();
     cb::count_context ctx;
-    const auto r = cb::plan_for(ov, cb::count_callback{}, ctx).run({}).slice(0);
+    const auto r = cb::plan_for(ov, cb::count_callback{}, ctx)
+                       .run({tripoll::survey_mode::push_pull, g_threads})
+                       .slice(0);
     const auto triangles = ctx.global_count(c);
     if (c.rank0()) {
       std::printf("ingest %s ranks %d ordering %s meta %s\n", prefix.c_str(), ranks,
